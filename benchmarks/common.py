@@ -10,6 +10,8 @@ absolute line counts (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 import time
 from dataclasses import dataclass, field
 
@@ -31,6 +33,20 @@ BENCH_BUDGET_ENV = "NECOFUZZ_BENCH_BUDGET"
 def bench_budget(default: int) -> int:
     """The iteration budget for one bench, honouring the env override."""
     return int(os.environ.get(BENCH_BUDGET_ENV, default))
+
+
+def host_metadata() -> dict:
+    """Where a committed bench number was measured: CPUs, Python, commit."""
+    try:
+        revision = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        revision = "unknown"
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "git_revision": revision}
 
 
 class PhaseDeadline:

@@ -90,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reuse-hypervisor", action="store_true",
                         help="reuse built hypervisors across same-config "
                              "cases (faster, changes trajectories)")
-    parser.add_argument("--batch-size", type=int, default=0, metavar="N",
-                        help="execute N cases per tick through the batched "
-                             "oracle hot path (DESIGN.md §12); 0 = classic "
-                             "loop, 1 = batched path with bit-identical "
-                             "results")
     parser.add_argument("--corpus-dir", type=Path, default=None,
                         help="resume from a saved corpus directory "
                              "(serial campaigns only); crash reproducers "
@@ -234,9 +229,6 @@ def main(argv: list[str] | None = None) -> int:
               "(use --workers >= 2, or --corpus-dir for serial resume)",
               file=sys.stderr)
         return 2
-    if args.batch_size < 0:
-        print("error: --batch-size must be >= 0", file=sys.stderr)
-        return 2
     if args.schedule == "stealing" and args.workers == 1:
         print("error: --schedule stealing needs --workers >= 2 "
               "(one worker has nobody to steal from)", file=sys.stderr)
@@ -275,7 +267,6 @@ def main(argv: list[str] | None = None) -> int:
             patched=patched,
             async_events=args.async_events,
             reuse_hypervisor=args.reuse_hypervisor,
-            batch_size=args.batch_size,
             power_schedule=args.power_schedule,
             address=args.coordinator,
             transport_timeout=args.transport_timeout,
@@ -301,7 +292,6 @@ def main(argv: list[str] | None = None) -> int:
             patched=patched,
             async_events=args.async_events,
             reuse_hypervisor=args.reuse_hypervisor,
-            batch_size=args.batch_size,
             case_timeout=args.case_timeout,
             max_restarts=args.max_restarts,
             checkpoint_interval=args.checkpoint_interval,
@@ -326,7 +316,6 @@ def main(argv: list[str] | None = None) -> int:
             reports_dir=args.reports_dir,
             corpus_dir=args.corpus_dir,
             reuse_hypervisor=args.reuse_hypervisor,
-            batch_size=args.batch_size,
             power_schedule=args.power_schedule)
     result = campaign.run(args.iterations, sample_every=args.sample_every)
 

@@ -114,48 +114,6 @@ def check_vmcb(vmcb: Vmcb) -> list[SvmViolation]:
     return v
 
 
-def apply_vmrun_quirks(vmcb: Vmcb) -> list[str]:
-    """Silent VMCB adjustments hardware applies at vmrun."""
-    fixups: list[str] = []
-    # EFER.LMA is computed, not stored: hardware sets it from
-    # LME & PG and ignores the value software wrote.
-    efer = vmcb.read(SF.EFER)
-    lma = bool(efer & Efer.LME) and bool(vmcb.read(SF.CR0) & Cr0.PG)
-    new_efer = efer | Efer.LMA if lma else efer & ~Efer.LMA
-    if new_efer != efer:
-        vmcb.write(SF.EFER, new_efer)
-        fixups.append("efer.lma recomputed from LME & PG")
-    # With VGIF enabled, vmrun sets the virtual GIF so the guest
-    # starts with interrupts logically enabled.
-    vintr = vmcb.read(SF.VINTR_CONTROL)
-    if vintr & SF.VintrControl.V_GIF_ENABLE and not vintr & SF.VintrControl.V_GIF:
-        vmcb.write(SF.VINTR_CONTROL, vintr | SF.VintrControl.V_GIF)
-        fixups.append("v_gif set at vmrun when VGIF enabled")
-    return fixups
-
-
-#: Replay memo for quirk prediction (batched hot path); lazy so the
-#: batch machinery is only imported when batch mode is in use.
-_QUIRK_MEMO = None
-
-
-def predict_vmrun_quirks(vmcb: Vmcb) -> tuple:
-    """The net (field, value) writes :func:`apply_vmrun_quirks` would
-    make to *vmcb*, without making them.
-
-    Backed by a replay memo on the quirk inputs' first-read values; a
-    miss runs the real quirk pass on a throwaway light image. The
-    returned tuple is shared between hits — callers must not mutate it.
-    """
-    global _QUIRK_MEMO
-    if _QUIRK_MEMO is None:
-        from repro.batch import ReplayMemo
-
-        _QUIRK_MEMO = ReplayMemo(apply_vmrun_quirks)
-    _result, writes = _QUIRK_MEMO.predict(vmcb)
-    return writes
-
-
 class SvmCpu:
     """One logical processor with AMD-V."""
 
@@ -215,7 +173,22 @@ class SvmCpu:
 
     def _apply_quirks(self, vmcb: Vmcb) -> list[str]:
         """Silent VMCB adjustments hardware applies at vmrun."""
-        return apply_vmrun_quirks(vmcb)
+        fixups: list[str] = []
+        # EFER.LMA is computed, not stored: hardware sets it from
+        # LME & PG and ignores the value software wrote.
+        efer = vmcb.read(SF.EFER)
+        lma = bool(efer & Efer.LME) and bool(vmcb.read(SF.CR0) & Cr0.PG)
+        new_efer = efer | Efer.LMA if lma else efer & ~Efer.LMA
+        if new_efer != efer:
+            vmcb.write(SF.EFER, new_efer)
+            fixups.append("efer.lma recomputed from LME & PG")
+        # With VGIF enabled, vmrun sets the virtual GIF so the guest
+        # starts with interrupts logically enabled.
+        vintr = vmcb.read(SF.VINTR_CONTROL)
+        if vintr & SF.VintrControl.V_GIF_ENABLE and not vintr & SF.VintrControl.V_GIF:
+            vmcb.write(SF.VINTR_CONTROL, vintr | SF.VintrControl.V_GIF)
+            fixups.append("v_gif set at vmrun when VGIF enabled")
+        return fixups
 
     def vm_exit(self, vmcb_pa: int, code: SvmExitCode, *,
                 info1: int = 0, info2: int = 0) -> None:

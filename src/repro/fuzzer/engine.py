@@ -94,12 +94,6 @@ class FuzzEngine:
     #: isolates (counted in ``stats.case_exceptions``) but keeps no
     #: deduplicated records and persists no reproducers.
     crashes: CrashStore | None = None
-    #: Optional batched warm hook (the agent's columnar pre-pass): called
-    #: with the whole tick's candidates before any of them executes. A
-    #: warm pass may only seed value-keyed caches — it must not change
-    #: results — so failures are contained here rather than charged to
-    #: any case.
-    warm_batch: Callable[[list[FuzzInput]], None] | None = None
     #: Seed-selection strategy (DESIGN.md §16). The default flat
     #: schedule delegates to ``queue.pick`` verbatim, pinning campaign
     #: fingerprints to the pre-schedule behaviour; the fast schedule
@@ -115,10 +109,9 @@ class FuzzEngine:
         # Scratch feedback for isolated cases: an escaped exception left
         # no usable bitmap, so the engine reports an empty one.
         self._fault_bitmap = CoverageBitmap()
-        # FIFO of bandit tickets: step_batch hoists candidate creation,
-        # so per-case op lists queue here until the case's feedback
-        # folds. Plain list of tuples — pickles with the engine.
-        self._tickets: list[tuple[str, ...]] = []
+        # Bandit ticket of the case in flight: the ops that built the
+        # candidate, settled when its feedback folds.
+        self._ticket: tuple[str, ...] | None = None
 
     def add_seed(self, data: bytes) -> None:
         """Register one initial seed."""
@@ -128,8 +121,7 @@ class FuzzEngine:
         """Produce the next candidate via seed selection + mutation.
 
         With a bandit, the ops applied to this candidate are collected
-        on a ticket and queued; :meth:`_fold` settles tickets in the
-        same order, so credit assignment survives batch hoisting.
+        on a ticket that :meth:`_fold` settles with the case's feedback.
         """
         if self.bandit is not None:
             self.bandit.begin_case()
@@ -149,7 +141,7 @@ class FuzzEngine:
             candidate = FuzzInput(mutate_candidate(
                 entry.data, self.rng, _REGIONS, partner, bandit=self.bandit))
         if self.bandit is not None:
-            self._tickets.append(self.bandit.take_ticket())
+            self._ticket = self.bandit.take_ticket()
         return candidate
 
     def _execute_isolated(self, candidate: FuzzInput) -> RunFeedback:
@@ -192,40 +184,6 @@ class FuzzEngine:
         feedback = self._execute_isolated(candidate)
         return self._fold(candidate, feedback)
 
-    def step_batch(self, count: int) -> list[RunFeedback]:
-        """Execute *count* mutated cases as one batch (DESIGN.md §12).
-
-        Candidate generation is hoisted to the start of the tick, then
-        the warm hook sees the whole batch columnwise before any case
-        executes; execution and feedback folding stay strictly in case
-        order. At ``count == 1`` this is bit-identical to :meth:`step`;
-        at larger sizes the trajectory is still deterministic, but a
-        mid-tick finding joins the queue one tick later than
-        incremental scheduling would place it.
-
-        Exception accounting is per case, not per batch: a poisoned
-        case is isolated by ``_execute_isolated`` exactly like in
-        :meth:`step`, and the remaining lanes run normally.
-        """
-        candidates = []
-        for _ in range(count):
-            self.stats.iterations += 1
-            candidates.append(self._next_input())
-        telemetry.observe("batch.size", float(len(candidates)))
-        if self.warm_batch is not None and len(candidates) > 1:
-            try:
-                self.warm_batch(candidates)
-            except Exception:
-                # The warm pass only seeds caches; a failure there must
-                # neither kill the batch nor count against any case.
-                telemetry.counter("batch.warm_errors")
-        feedbacks = []
-        with telemetry.span("case.execute_batch"):
-            for candidate in candidates:
-                feedback = self._execute_isolated(candidate)
-                feedbacks.append(self._fold(candidate, feedback))
-        return feedbacks
-
     def _fold(self, candidate: FuzzInput, feedback: RunFeedback) -> RunFeedback:
         """Fold one case's feedback into queue/virgin/stats state."""
         telemetry.counter("engine.cases")
@@ -249,12 +207,13 @@ class FuzzEngine:
                 telemetry.counter("engine.queue_adds")
         # else: black-box mode still merges the map (above) so external
         # observers can measure coverage, but scheduling ignores it.
-        if self.bandit is not None and self._tickets:
+        if self.bandit is not None and self._ticket is not None:
             # "Hit" means coverage novelty: the ops on this case's
             # ticket steered the target somewhere the virgin map had
             # not seen. Crashes without new bits are already dedupable
             # by signature and do not reward the operators.
-            self.bandit.settle(self._tickets.pop(0), hit=new_bits > 0)
+            self.bandit.settle(self._ticket, hit=new_bits > 0)
+            self._ticket = None
         telemetry.gauge("engine.queue_depth", len(self.queue))
         telemetry.gauge("engine.corpus_bytes", len(self.queue) * INPUT_SIZE)
         return feedback
@@ -323,30 +282,6 @@ class FuzzEngine:
                                    crashed=feedback.crashed,
                                    anomaly=feedback.anomaly is not None)
         return new_bits
-
-    def import_batch(self, payloads: list[bytes]) -> list[int | None]:
-        """:meth:`import_case` over a batch, warming columnwise first.
-
-        Corrupt entries are skipped and counted per entry exactly as in
-        the single-case path; the decodable remainder is handed to the
-        warm hook as one batch, then executed in order.
-        """
-        decoded = [self._decode_entry(payload) for payload in payloads]
-        runnable = [FuzzInput(FuzzInput.normalize(data))
-                    for data in decoded if data is not None]
-        if self.warm_batch is not None and len(runnable) > 1:
-            try:
-                self.warm_batch(runnable)
-            except Exception:
-                telemetry.counter("batch.warm_errors")
-        results: list[int | None] = []
-        for data in decoded:
-            if data is None:
-                self.stats.import_skipped += 1
-                results.append(None)
-            else:
-                results.append(self._run_import(data))
-        return results
 
     def import_packed(self, record) -> int:
         """Execute one already-decoded protocol-v2 partner record."""

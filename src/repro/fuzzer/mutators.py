@@ -164,9 +164,9 @@ def mutate_candidate(data: bytes, rng: Rng,
 
     Exactly the sequence :class:`repro.fuzzer.engine.FuzzEngine`
     applies — optional splice with *partner*, havoc, then region
-    havoc — factored out so the batched and single-case pipelines share
-    one definition. RNG call order here is part of every campaign
-    fingerprint; do not reorder. With *bandit* (fast schedule) the
+    havoc — as one call, so the stack has a single definition that the
+    per-layer profiler can time. RNG call order here is part of every
+    campaign fingerprint; do not reorder. With *bandit* (fast schedule) the
     havoc operators come from posterior sampling and the region-havoc
     stage runs behind the bandit's ``region_havoc`` gate; splice-stage
     gating happens in the engine, where the partner is selected.

@@ -478,7 +478,13 @@ class SyncDirectory:
             side = delta.decode(chunks[1])
         except (IndexError, ValueError, delta.DeltaError):
             return 0
-        flagged = sorted(meta.get("flagged", ()))
+        if not isinstance(meta, dict):
+            return 0
+        flagged = meta.get("flagged", [])
+        if not (isinstance(flagged, list)
+                and all(isinstance(i, int) for i in flagged)):
+            return 0
+        flagged.sort()
         if (meta.get("records") != len(manifest)
                 or meta.get("universe") != len(codec.universe)
                 or len(chunks) != 2 + len(manifest) - len(flagged)):

@@ -74,6 +74,27 @@ class TransportError(RuntimeError):
     """The federation transport failed past its retry budget."""
 
 
+def _state_problem(state: dict) -> str | None:
+    """The first ``coord.json`` key whose value has the wrong type, or
+    None when every key the coordinator reads is usable."""
+    for key in ("fetch_round", "assigned"):
+        if not isinstance(state[key], int):
+            return key
+    if not isinstance(state["drained_round"], (int, type(None))):
+        return "drained_round"
+    for key in ("byed", "expired"):
+        if not (isinstance(state[key], list)
+                and all(isinstance(node, int) for node in state[key])):
+            return key
+    coverage = state["coverage"]
+    if not (isinstance(coverage, dict) and all(
+            isinstance(mark, list) and len(mark) == 3
+            and all(isinstance(x, int) for x in mark)
+            for mark in coverage.values())):
+        return "coverage"
+    return None
+
+
 # --- addresses -------------------------------------------------------------
 
 
@@ -237,7 +258,14 @@ class Coordinator:
                 f"corrupt ({exc}); a fresh campaign must recreate it"
             ) from exc
         merged = self._default_state()
-        merged.update(state)
+        bad = type(state).__name__
+        if isinstance(state, dict):
+            merged.update(state)
+            bad = _state_problem(merged)
+        if bad is not None:
+            raise TransportError(
+                f"coordinator state {self.state_path} has unexpected shape "
+                f"({bad}); a fresh campaign must recreate it")
         return merged
 
     def _persist(self) -> None:

@@ -563,6 +563,34 @@ class TestDeltaBatchReject:
         # Per-record filtering still absorbed every record.
         assert consumer.stats.imports_skipped_subsumed == skipped_before + 3
 
+    @pytest.mark.parametrize("meta", [[], "meta", {"flagged": ["x", 1]},
+                                      {"flagged": 5}])
+    def test_misshapen_sealed_meta_falls_back_to_per_record(self, tmp_path,
+                                                             meta):
+        """A correctly sealed sidecar whose meta chunk has the wrong
+        shape declines the batch instead of raising out of the import."""
+        from repro.parallel import checksum
+        codec = LineCodec(self.LINES)
+        producer, psync = self._producer(tmp_path, codec)
+        consumer = make_engine(seed=2, execute=self._novel_lines_execute())
+        consumer.virgin.merge_bits(producer.virgin.snapshot())
+        sync = make_sync(tmp_path, 0, "v2")
+        self._catch_up(tmp_path, codec, consumer, sync, [])
+
+        producer.run(3)
+        psync.export(producer, codec=codec)
+        sidecar = worker_queue_dir(tmp_path, 1) / COVERAGE_SIDECAR
+        chunks = checksum.unpack_chunks(checksum.unseal(sidecar.read_bytes()))
+        chunks[0] = json.dumps(meta).encode()
+        sidecar.write_bytes(checksum.seal(checksum.pack_chunks(chunks)))
+
+        consumer.virgin.merge_bits(producer.virgin.snapshot())
+        skipped_before = consumer.stats.imports_skipped_subsumed
+        imported = sync.import_new(consumer, codec=codec)
+        assert imported == 3
+        assert sync.stats.batches_delta_rejected == 0
+        assert consumer.stats.imports_skipped_subsumed == skipped_before + 3
+
     def test_novel_partner_coverage_declines_the_batch(self, tmp_path):
         codec = LineCodec(self.LINES)
         producer, psync = self._producer(tmp_path, codec)

@@ -18,6 +18,8 @@ import pytest
 from repro.parallel import FileLeaseBoard, LeaseBoardError
 from repro.parallel.transport import frames
 from repro.parallel.transport.coordinator import (
+    Coordinator,
+    TransportError,
     default_local_address,
     format_address,
     parse_address,
@@ -330,3 +332,28 @@ def test_unreadable_board_raises_lease_board_error(tmp_path):
     board.state_path.unlink()
     with pytest.raises(LeaseBoardError, match="unreadable"):
         board.finished()
+
+
+# --- coord.json shape ------------------------------------------------------
+
+
+@pytest.mark.parametrize("content", [
+    "null", "5", "[1]", '"ab"', '{"byed": 3}', '{"expired": ["x"]}',
+    '{"fetch_round": "0"}', '{"assigned": 1.5}', '{"drained_round": []}',
+    '{"coverage": []}', '{"coverage": {"0": [1, 2]}}',
+])
+def test_misshapen_coordinator_state_raises_transport_error(tmp_path,
+                                                            content):
+    board = FileLeaseBoard.create(tmp_path, 16, 2, lease_size=8)
+    (tmp_path / Coordinator.STATE).write_text(content)
+    with pytest.raises(TransportError, match="unexpected shape"):
+        Coordinator(tmp_path, board, 2)
+
+
+def test_persisted_coordinator_state_loads_back(tmp_path):
+    board = FileLeaseBoard.create(tmp_path, 16, 2, lease_size=8)
+    (tmp_path / Coordinator.STATE).write_text(json.dumps(
+        {"fetch_round": 3, "drained_round": 2, "byed": [1], "expired": [],
+         "assigned": 2, "coverage": {"0": [4, 3, 120]}}))
+    coordinator = Coordinator(tmp_path, board, 2)
+    assert coordinator.membership() == {0}
