@@ -127,6 +127,13 @@ class L0Hypervisor(ABC):
     def execute(self, vcpu: Any, instruction: "GuestInstruction") -> "ExecResult":
         """Execute one guest instruction, emulating any intercept."""
 
+    def vmwrite_target(self, vcpu: Any) -> Any:
+        """The VMCS12 an L1 vmwrite on *vcpu* would program, or ``None``.
+
+        Read from vCPU state, not through instrumented nested modules.
+        """
+        return None
+
     def reset(self) -> None:
         """Watchdog restart: clear crash state and logs (paper §3.2)."""
         self.log.clear()

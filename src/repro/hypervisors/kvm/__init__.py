@@ -22,7 +22,7 @@ from repro.hypervisors.base import (
 )
 from repro.hypervisors.kvm.module import KvmModuleParams
 from repro.hypervisors.kvm.nested_svm import NestedSvm, SvmNestedState
-from repro.hypervisors.kvm.nested_vmx import NestedVmx, VmxNestedState
+from repro.hypervisors.kvm.nested_vmx import VMPTR_INVALID, NestedVmx, VmxNestedState
 from repro.hypervisors.l2map import AMD_L2_EXITS, INTEL_L2_EXITS, svm_exception_code
 from repro.hypervisors.memory import GuestMemory
 from repro.vmx.exit_reasons import ExitReason
@@ -86,6 +86,13 @@ class KvmHypervisor(L0Hypervisor):
         if instr.level == 2 and vcpu.level == 2:
             return self._execute_l2(vcpu, instr)
         return self._execute_l1(vcpu, instr)
+
+    def vmwrite_target(self, vcpu: KvmVcpu):
+        """The current VMCS12, found the way ``handle_vmwrite`` finds it."""
+        vmx = vcpu.vmx
+        if not (self.params.nested and vmx.vmxon) or vmx.current_vmptr == VMPTR_INVALID:
+            return None
+        return self.memory.get_vmcs(vmx.current_vmptr)
 
     # --- L1 context -------------------------------------------------------
 

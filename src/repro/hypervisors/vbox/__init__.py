@@ -17,7 +17,7 @@ from repro.hypervisors.base import (
 )
 from repro.hypervisors.l2map import INTEL_L2_EXITS
 from repro.hypervisors.memory import GuestMemory
-from repro.hypervisors.vbox.nested_vmx import VboxNestedState, VboxNestedVmx
+from repro.hypervisors.vbox.nested_vmx import VMPTR_INVALID, VboxNestedState, VboxNestedVmx
 
 VMX_MNEMONICS = frozenset(VboxNestedVmx.HANDLERS)
 
@@ -76,6 +76,13 @@ class VboxHypervisor(L0Hypervisor):
             vcpu.nested.cr4 = instr.op("value")
             return ExecResult.success("mov cr4")
         return ExecResult.success(f"{instr.mnemonic} emulated", value=0)
+
+    def vmwrite_target(self, vcpu: VboxVcpu):
+        """The current VMCS12, found the way ``iem_vmwrite`` finds it."""
+        nested = vcpu.nested
+        if not nested.vmxon or nested.current_vmptr == VMPTR_INVALID:
+            return None
+        return self.memory.get_vmcs(nested.current_vmptr)
 
     def _execute_l2(self, vcpu: VboxVcpu, instr: GuestInstruction) -> ExecResult:
         reason = INTEL_L2_EXITS.get(instr.mnemonic)

@@ -21,7 +21,7 @@ from repro.hypervisors.base import (
 from repro.hypervisors.l2map import AMD_L2_EXITS, INTEL_L2_EXITS, svm_exception_code
 from repro.hypervisors.memory import GuestMemory
 from repro.hypervisors.xen.nested_svm import NsvmState, XenNestedSvm
-from repro.hypervisors.xen.nested_vmx import NvmxState, XenNestedVmx
+from repro.hypervisors.xen.nested_vmx import VVMCS_INVALID, NvmxState, XenNestedVmx
 
 VMX_MNEMONICS = frozenset(XenNestedVmx.HANDLERS)
 SVM_MNEMONICS = frozenset(XenNestedSvm.HANDLERS)
@@ -83,6 +83,13 @@ class XenHypervisor(L0Hypervisor):
         if instr.level == 2 and vcpu.level == 2:
             return self._execute_l2(vcpu, instr)
         return self._execute_l1(vcpu, instr)
+
+    def vmwrite_target(self, vcpu: XenVcpu):
+        """The current VMCS12, found the way ``nvmx_handle_vmwrite`` finds it."""
+        nvmx = vcpu.nvmx
+        if not nvmx.vmxon or nvmx.vvmcs_addr == VVMCS_INVALID:
+            return None
+        return self.memory.get_vmcs(nvmx.vvmcs_addr)
 
     def _execute_l1(self, vcpu: XenVcpu, instr: GuestInstruction) -> ExecResult:
         mnemonic = instr.mnemonic
