@@ -15,6 +15,7 @@ maps as big integers before falling back to the per-cell loop.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from typing import Iterable
 
@@ -49,13 +50,21 @@ def edge_index(prev_id: int, cur_id: int) -> int:
     return ((prev_id >> 1) ^ cur_id) & (MAP_SIZE - 1)
 
 
+#: Source locations inside the package hash relative to this prefix.
+_PACKAGE_PREFIX = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+
 @lru_cache(maxsize=65536)
 def stable_line_id(filename: str, lineno: int) -> int:
     """Deterministic 16-bit id for a source location.
 
     ``hash()`` is randomized per interpreter run; campaigns must be
     reproducible, so we use a small FNV-1a over the location string.
+    Files of this package hash by their path relative to the package
+    root, so bitmaps do not depend on where the checkout lives.
     """
+    if filename.startswith(_PACKAGE_PREFIX):
+        filename = filename[len(_PACKAGE_PREFIX):].replace(os.sep, "/")
     h = 0x811C9DC5
     for byte in f"{filename}:{lineno}".encode():
         h ^= byte
