@@ -54,17 +54,27 @@ def edge_index(prev_id: int, cur_id: int) -> int:
 _PACKAGE_PREFIX = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
+def package_path(filename: str) -> str:
+    """*filename* relative to the package root, with ``/`` separators.
+
+    Files outside the package are returned as given. Anything hashed
+    from source locations goes through this, so digests do not depend
+    on where the checkout lives.
+    """
+    if filename.startswith(_PACKAGE_PREFIX):
+        return filename[len(_PACKAGE_PREFIX):].replace(os.sep, "/")
+    return filename
+
+
 @lru_cache(maxsize=65536)
 def stable_line_id(filename: str, lineno: int) -> int:
     """Deterministic 16-bit id for a source location.
 
     ``hash()`` is randomized per interpreter run; campaigns must be
     reproducible, so we use a small FNV-1a over the location string.
-    Files of this package hash by their path relative to the package
-    root, so bitmaps do not depend on where the checkout lives.
+    Files of this package hash by :func:`package_path`.
     """
-    if filename.startswith(_PACKAGE_PREFIX):
-        filename = filename[len(_PACKAGE_PREFIX):].replace(os.sep, "/")
+    filename = package_path(filename)
     h = 0x811C9DC5
     for byte in f"{filename}:{lineno}".encode():
         h ^= byte

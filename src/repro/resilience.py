@@ -12,9 +12,10 @@ resume-determinism contract is pinned against:
     run's fingerprint bit for bit.
 
 The fingerprint digests everything observable about a finished
-campaign: the covered-line set, the merged virgin map, every worker's
-final corpus (entry bytes + provenance, order-sensitive), and the
-merged engine statistics. Two runs with equal fingerprints found the
+campaign: the covered-line set (by package-relative path, so the
+value does not depend on where the checkout lives), the merged virgin
+map, every worker's final corpus (entry bytes + provenance,
+order-sensitive), and the merged engine statistics. Two runs with equal fingerprints found the
 same behaviour from the same corpus by the same path.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.coverage.bitmap import package_path
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -85,7 +87,8 @@ def campaign_fingerprint(result: ParallelCampaignResult) -> str:
     fingerprints — lives in tests/telemetry/test_fingerprint_modes.py.
     """
     digest = hashlib.sha256()
-    for location in sorted(result.covered_lines):
+    for location in sorted((package_path(filename), lineno)
+                           for filename, lineno in result.covered_lines):
         digest.update(repr(location).encode())
     digest.update(b"|virgin|")
     digest.update(result.virgin.snapshot())
