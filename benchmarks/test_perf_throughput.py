@@ -3,8 +3,9 @@
 Measures the cases/sec impact of this PR's two performance levers and
 writes the numbers to ``BENCH_throughput.json`` at the repo root:
 
-* the AST-marker coverage fast path vs. the legacy ``sys.settrace``
-  tracer on an identical serial campaign (acceptance floor: >= 1.5x);
+* the AST-marker coverage fast path vs. the ``sys.settrace`` reference
+  tracer (``tests.reference.SettraceTracer``) on an identical serial
+  campaign (acceptance floor: >= 1.5x);
 * process-mode ``ParallelCampaign`` wall-clock vs. serial for the same
   budget, with the per-phase sync-overhead breakdown (export / manifest
   scan / subsumption filter / import execution seconds) recorded so a
@@ -30,9 +31,9 @@ import pytest
 from common import BenchReport, PhaseDeadline, bench_budget
 from repro import NecoFuzz, Vendor
 from repro.coverage.bitmap import CoverageBitmap, VirginMap
-from repro.coverage.kcov import KcovTracer
 from repro.hypervisors import HYPERVISORS
 from repro.parallel import ParallelCampaign
+from tests.reference import SettraceTracer
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 DEFAULT_BUDGET = 400
@@ -64,7 +65,7 @@ def _timed_serial(fast_path: bool) -> tuple[float, float, bool]:
     campaign = NecoFuzz(hypervisor="kvm", vendor=Vendor.INTEL, seed=SEED)
     if not fast_path:
         modules = HYPERVISORS["kvm"].nested_modules(Vendor.INTEL)
-        campaign.agent.tracer = KcovTracer(modules, fast_path=False)
+        campaign.agent.tracer = SettraceTracer(modules)
     deadline = PhaseDeadline()
     start = time.perf_counter()
     ran = deadline.run(BUDGET, campaign.engine.step)

@@ -43,7 +43,7 @@ class RunFeedback:
     bitmap: CoverageBitmap
     crashed: bool = False
     anomaly: str | None = None
-    #: Source lines this case covered (fast-path tracer). Stored with
+    #: Source lines this case covered (kcov markers). Stored with
     #: queue entries so protocol-v2 sync partners that skip a subsumed
     #: import can still absorb its line coverage. None when the
     #: executor does not track lines.

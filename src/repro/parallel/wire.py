@@ -91,9 +91,9 @@ class LineCodec:
     Every worker of one campaign instruments the same modules, so the
     sorted universe — and therefore the index assignment — is identical
     across workers without any coordination. Lines outside the universe
-    (settrace mode can observe harness frames) make a set unencodable;
-    the record then ships without ``FLAG_LINES`` and is simply never
-    skipped by the subsumption filter.
+    make a set unencodable; the record then ships without
+    ``FLAG_LINES`` and is simply never skipped by the subsumption
+    filter.
     """
 
     def __init__(self, universe: Iterable) -> None:

@@ -1,50 +1,20 @@
-"""Global switches and helpers for the incremental hot path.
+"""Memoization helpers for the incremental hot path.
 
 Dirty-field tracking makes three hot-path stages incremental:
 VM-entry consistency checking, the hypervisor-level VMCS12/VMCB12
-checks, and the VMCS02/VMCB02 merge. Full recompute stays available —
-the two modes are pinned equivalent (identical violation lists,
-corrections, exit reasons, VMCS02 contents, and coverage) by
-tests/unit/test_incremental_equivalence.py — and the benchmark suite
-flips between them with :func:`incremental_mode` to measure the win.
-
-A module-level knob is used instead of threading a flag through
-NecoFuzz -> Agent -> adapter -> hypervisor constructors: the mode is a
-process-wide property of the run (like the tracer mode), not a
-per-object decision.
+checks, and the VMCS02/VMCB02 merge. This is the only production path.
+Full recompute lives on as a test-side reference
+(``tests/reference.py``), which patches the helpers below to
+pass-through; tests/unit/test_incremental_equivalence.py pins the two
+equivalent (identical violation lists, corrections, exit reasons,
+VMCS02 contents, and coverage).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro import telemetry
-
-_incremental = True
-
-
-def incremental_enabled() -> bool:
-    """True when the incremental (dirty-tracking) hot path is active."""
-    return _incremental
-
-
-def set_incremental(enabled: bool) -> None:
-    """Switch between the incremental and full-recompute hot paths."""
-    global _incremental
-    _incremental = bool(enabled)
-
-
-@contextmanager
-def incremental_mode(enabled: bool) -> Iterator[None]:
-    """Temporarily force the incremental hot path on or off."""
-    global _incremental
-    saved = _incremental
-    _incremental = bool(enabled)
-    try:
-        yield
-    finally:
-        _incremental = saved
 
 
 def memoized_check(struct, key, compute: Callable[[], list]):
@@ -58,13 +28,11 @@ def memoized_check(struct, key, compute: Callable[[], list]):
     branch taken by *compute* depends only on fields it read — and the
     result is revalidated against the change journal on later calls.
 
-    Coverage equivalence: when the fast-path kcov tracer is active, the
-    (file, line) events emitted during *compute* are recorded with the
-    entry and replayed into the tracer on every cache hit, so per-case
-    line AND edge coverage is identical to recomputing. Under the
-    legacy ``sys.settrace`` tracer events cannot be replayed, so
-    memoization is bypassed entirely; an entry recorded without any
-    tracer carries no event slice and is recomputed if a fast-path
+    Coverage equivalence: while a kcov tracer is active, the (file,
+    line) events emitted during *compute* are recorded with the entry
+    and replayed into the tracer on every cache hit, so per-case line
+    AND edge coverage is identical to recomputing. An entry recorded
+    without a tracer carries no event slice and is recomputed if a
     tracer is active when it is next consulted.
 
     Entries record the *values* read, not just the field set, and a
@@ -77,12 +45,8 @@ def memoized_check(struct, key, compute: Callable[[], list]):
     The cached result list is returned as-is on a hit; callers must not
     mutate it.
     """
-    if not _incremental:
-        return compute()
     from repro.coverage import kcov
 
-    if kcov.legacy_trace_active():
-        return compute()
     sink = kcov.event_sink()
     entry = struct.memo_get(key)
     if entry is not None:
@@ -137,16 +101,8 @@ def memoized_fixpoint(struct, key, run: Callable[[], object]):
     survives write/revert churn between invocations.
 
     The rounding passes live outside the instrumented hypervisor
-    modules, so no kcov event slice needs to be recorded; the legacy
-    settrace bypass is kept anyway so a wrapped pass can never perturb
-    a legacy coverage run.
+    modules, so no kcov event slice needs to be recorded.
     """
-    if not _incremental:
-        return run()
-    from repro.coverage import kcov
-
-    if kcov.legacy_trace_active():
-        return run()
     entry = struct.memo_get(key)
     if entry is not None:
         gen, reads, value = entry
@@ -197,17 +153,13 @@ def merge_state(state, src, *, build: Callable[[], object],
     build_trace, controls_trace)`` — is recorded before the caller's
     always-live sections (clamps, paging/MMU setup) run, so fallible
     tails replay identically from the cached prefix. *state* may be
-    ``None`` (or the mode off / legacy tracer active): the merge then
-    runs in full every time.
+    ``None``: the merge then runs in full every time.
     """
     from repro.coverage import kcov
 
-    if state is None or not _incremental or kcov.legacy_trace_active():
+    if state is None:
         merged = build()
         controls(merged)
-        if state is not None:
-            # Never leave a cache recorded under different trace rules.
-            state.merge_cache = None
         return merged
     sink = kcov.event_sink()
     cache = state.merge_cache
@@ -244,26 +196,20 @@ def merge_state(state, src, *, build: Callable[[], object],
 
 
 def prewarm(fn: Callable[[], object]) -> None:
-    """Run a memo pre-warm on the incremental fast path only.
+    """Run a memo pre-warm.
 
-    Wraps the hypervisors' post-merge ``check_all`` pre-warm so the call
-    site is a single statement that executes in both modes — the gate
-    lives here, outside the instrumented modules, keeping per-case
-    coverage mode-independent.
+    Every pre-warm (the hypervisors' post-merge ``check_all`` and the
+    validators' pre-entry checks) goes through here, so a reference
+    run can turn all of them off at one patch point without touching
+    the instrumented modules.
     """
-    if not _incremental:
-        return
-    from repro.coverage import kcov
-
-    if not kcov.legacy_trace_active():
-        fn()
+    fn()
 
 
 def publish_merged(merged, prewarm_fn: Callable[[], object] | None = None):
-    """The object to install for execution: *merged* itself on the full
-    path, a fast copy on the incremental path so quirk write-backs from
-    the run (and dirty-field replays by a later, *failed* merge) never
-    alias the cached master. *prewarm_fn* (typically a
+    """The object to install for execution: a fast copy of *merged*, so
+    quirk write-backs from the run (and dirty-field replays by a later,
+    *failed* merge) never alias the cached master. *prewarm_fn* (typically a
     :func:`memoized_check` over the vendor's structure check) runs first
     so the copy inherits a warm memo.
 
@@ -275,12 +221,6 @@ def publish_merged(merged, prewarm_fn: Callable[[], object] | None = None):
     hardware write-back into the published copy bumps its counter and
     forces a fresh copy on the next publish.
     """
-    if not _incremental:
-        return merged
-    from repro.coverage import kcov
-
-    if kcov.legacy_trace_active():
-        return merged
     pub = getattr(merged, "_pub", None)
     if (pub is not None and merged.generation == pub[0]
             and pub[1].generation == pub[0]):

@@ -186,10 +186,9 @@ class HardwareOracle:
         cpu = VmxCpu(self.caps, checker=self._checker)
         cpu.vmxon(VMXON_PA)
         cpu.vmclear(VMCS_PA)
-        if perf.incremental_enabled():
-            # Pre-warm the persistent state so the image copy below
-            # carries a fully validated memo into vmlaunch.
-            self._checker.check_all(state)
+        # Pre-warm the persistent state so the image copy below
+        # carries a fully validated memo into vmlaunch.
+        perf.prewarm(lambda: self._checker.check_all(state))
         image = state.copy()
         image.clear()
         cpu.install_vmcs(VMCS_PA, image)

@@ -30,6 +30,7 @@ from repro.hypervisors import (
 )
 from repro.hypervisors.base import GuestInstruction
 from repro.vmx import fields as F
+from tests.reference import SettraceTracer
 
 HYPERVISORS = (KvmHypervisor, XenHypervisor, VboxHypervisor)
 
@@ -72,7 +73,7 @@ EDITS = ("none", "drop_vmxon", "drop_vmptrld", "vmptrld_vmxon_region",
 
 
 def _run(harness_cls, hv_cls, data: bytes, edit: str, mutate: bool,
-         fast_path: bool):
+         tracer_cls: type):
     """Both harness phases on a fresh L0, under a kcov tracer."""
     hv = hv_cls(VcpuConfig.default(Vendor.INTEL))
     calls = []
@@ -84,7 +85,7 @@ def _run(harness_cls, hv_cls, data: bytes, edit: str, mutate: bool,
     vm_state, _ = VmStateGenerator(hv.nested_vmx.caps).generate(fuzz_input)
     harness = harness_cls(Vendor.INTEL, mutate=mutate, runtime_iterations=8)
     stats = HarnessStats()
-    tracer = KcovTracer(hv.nested_modules(Vendor.INTEL), fast_path=fast_path)
+    tracer = tracer_cls(hv.nested_modules(Vendor.INTEL))
     crash = None
     with mock.patch.object(harness_module, "init_sequence",
                            lambda vendor: _edit_sequence(edit)):
@@ -104,9 +105,9 @@ def _run(harness_cls, hv_cls, data: bytes, edit: str, mutate: bool,
 
 
 def _assert_equivalent(hv_cls, data: bytes, edit: str, mutate: bool = True,
-                       fast_path: bool = True):
-    ref = _run(ReferenceHarness, hv_cls, data, edit, mutate, fast_path)
-    fused = _run(VmExecutionHarness, hv_cls, data, edit, mutate, fast_path)
+                       tracer_cls: type = KcovTracer):
+    ref = _run(ReferenceHarness, hv_cls, data, edit, mutate, tracer_cls)
+    fused = _run(VmExecutionHarness, hv_cls, data, edit, mutate, tracer_cls)
     assert fused[0] == ref[0], "kcov lines differ"
     assert fused[1] == ref[1], "kcov edges differ"
     assert fused[2] == ref[2], "VMCS12 contents or journal differ"
@@ -139,11 +140,12 @@ class TestFusedStormEquivalence:
 
     def test_settrace_tracer_sees_the_same_coverage(self):
         """The Sⁿ = S² argument needs no replay, so it holds for the
-        legacy settrace tracer as well."""
+        settrace reference tracer as well."""
         for hv_cls in HYPERVISORS:
             for seed in range(3):
                 data = golden_seed(Vendor.INTEL, Rng(seed))
-                _assert_equivalent(hv_cls, data, "none", fast_path=False)
+                _assert_equivalent(hv_cls, data, "none",
+                                   tracer_cls=SettraceTracer)
 
     def test_duplicated_vmlaunch_fuses_both_storms(self):
         """A failed first entry runs a second storm, fused again."""

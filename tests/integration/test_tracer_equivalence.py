@@ -1,12 +1,12 @@
-"""Fast-path vs. legacy tracer equivalence.
+"""Marker tracer vs. settrace reference equivalence.
 
-The compiled fast path (marker instrumentation) and the legacy settrace
-tracer must agree on the covered *line* universe: for any fixed set of
-inputs, the cumulative covered lines — intersected with the instrumented
-universe, which is how every coverage number in the suite is computed —
-are identical in both modes. Edge sets are mode-specific by design (see
-the repro.coverage.kcov module docstring), so campaign trajectories are
-only compared within one mode.
+The compiled kcov markers and the ``sys.settrace`` reference tracer
+(:class:`tests.reference.SettraceTracer`) must agree on the covered
+*line* universe: for any fixed set of inputs, the cumulative covered
+lines — intersected with the instrumented universe, which is how every
+coverage number in the suite is computed — are identical under both.
+Edge sets differ by design (see the repro.coverage.kcov module
+docstring), so campaign trajectories are only compared under markers.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.coverage.kcov import KcovTracer
 from repro.fuzzer.input import FuzzInput, INPUT_SIZE
 from repro.fuzzer.rng import Rng
 from repro.hypervisors import HYPERVISORS
+from tests.reference import SettraceTracer
 
 CONFIGS = [
     ("kvm", Vendor.INTEL),
@@ -24,12 +25,11 @@ CONFIGS = [
 ]
 
 
-def _covered(hypervisor, vendor, fast_path, n_cases=60):
-    """Cumulative covered-lines of a fixed input set under one mode."""
+def _covered(hypervisor, vendor, tracer_cls, n_cases=60):
+    """Cumulative covered-lines of a fixed input set under one tracer."""
     campaign = NecoFuzz(hypervisor=hypervisor, vendor=vendor, seed=5)
     agent = campaign.agent
-    agent.tracer = KcovTracer(
-        HYPERVISORS[hypervisor].nested_modules(vendor), fast_path=fast_path)
+    agent.tracer = tracer_cls(HYPERVISORS[hypervisor].nested_modules(vendor))
     rng = Rng(0xC0FFEE)
     for _ in range(n_cases):
         agent.run_case(FuzzInput(rng.bytes(INPUT_SIZE)))
@@ -40,8 +40,8 @@ class TestTracerEquivalence:
     @pytest.mark.parametrize("hypervisor,vendor", CONFIGS,
                              ids=[f"{h}-{v.value}" for h, v in CONFIGS])
     def test_same_covered_lines_both_modes(self, hypervisor, vendor):
-        fast_cov, fast_inst = _covered(hypervisor, vendor, fast_path=True)
-        legacy_cov, legacy_inst = _covered(hypervisor, vendor, fast_path=False)
+        fast_cov, fast_inst = _covered(hypervisor, vendor, KcovTracer)
+        legacy_cov, legacy_inst = _covered(hypervisor, vendor, SettraceTracer)
         assert fast_inst == legacy_inst
         assert fast_cov == legacy_cov
         assert fast_cov  # the fixed inputs exercise real code
@@ -49,13 +49,13 @@ class TestTracerEquivalence:
     def test_all_target_functions_instrumented(self):
         for hypervisor, vendor in CONFIGS:
             tracer = KcovTracer(
-                HYPERVISORS[hypervisor].nested_modules(vendor), fast_path=True)
+                HYPERVISORS[hypervisor].nested_modules(vendor))
             assert tracer.unswapped == ()
 
     def test_fast_mode_records_nothing_while_inactive(self):
         campaign = NecoFuzz(hypervisor="kvm", vendor=Vendor.INTEL, seed=5)
         tracer = campaign.agent.tracer
-        assert tracer.fast_path
+        assert type(tracer) is KcovTracer
         # Target code executed outside start()/stop() must not leak
         # events into the next drain.
         campaign.agent.run_case(FuzzInput(Rng(1).bytes(INPUT_SIZE)))

@@ -3,12 +3,15 @@
 The dirty-tracking machinery in :mod:`repro.perf` (memoized check and
 rounding passes, value-validated revalidation, incremental VMCS02/VMCB02
 merge) must be a pure optimisation: for any mutation sequence, the
-incremental and full-recompute modes produce identical corrections,
+production path and the full-recompute reference
+(:func:`tests.reference.full_recompute`) produce identical corrections,
 violations, oracle outcomes, merged-structure contents, exit reasons —
 and identical campaign trajectories, coverage included.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from repro.validator.rounding import VmStateValidator
 from repro.validator.svm_validator import SvmHardwareOracle, VmcbValidator
 from repro.vmx import fields as F
 from repro.vmx.msr_caps import default_capabilities
+from tests.reference import full_recompute
 
 _VMX_MUTABLE = [s for s in F.ALL_FIELDS
                 if s.group is not F.FieldGroup.READ_ONLY]
@@ -40,9 +44,14 @@ svm_mutations = st.lists(
     min_size=1, max_size=6)
 
 
+def _mode(incremental: bool):
+    """The production path, or the full-recompute reference."""
+    return nullcontext() if incremental else full_recompute()
+
+
 def _vmx_pipeline(incremental: bool, mutations) -> tuple:
     """Run the per-case hot path on a persistent VMCS; return observables."""
-    with perf.incremental_mode(incremental):
+    with _mode(incremental):
         hv = KvmHypervisor(VcpuConfig.default(Vendor.INTEL))
         nested = hv.nested_vmx
         validator = VmStateValidator(nested.caps)
@@ -73,7 +82,7 @@ def _vmx_pipeline(incremental: bool, mutations) -> tuple:
 
 
 def _svm_pipeline(incremental: bool, mutations) -> tuple:
-    with perf.incremental_mode(incremental):
+    with _mode(incremental):
         hv = KvmHypervisor(VcpuConfig.default(Vendor.AMD))
         nested = hv.nested_svm
         validator = VmcbValidator()
@@ -129,7 +138,7 @@ class TestCampaignEquivalence:
     def test_campaign_fingerprint(self, hypervisor, vendor):
         prints = []
         for mode in (False, True):
-            with perf.incremental_mode(mode):
+            with _mode(mode):
                 campaign = NecoFuzz(hypervisor=hypervisor, vendor=vendor,
                                     seed=11)
                 prints.append(_fingerprint(campaign.run(80)))
@@ -165,40 +174,38 @@ class TestValueRevalidation:
     def test_memoized_check_survives_write_revert(self):
         caps = default_capabilities()
         vmcs = golden_vmcs(caps)
-        with perf.incremental_mode(True):
-            runs = []
-            key = "probe"
-            enc = F.GUEST_RSP
+        runs = []
+        key = "probe"
+        enc = F.GUEST_RSP
 
-            def compute():
-                runs.append(vmcs.read(enc))
-                return list(check_all(vmcs, caps))
+        def compute():
+            runs.append(vmcs.read(enc))
+            return list(check_all(vmcs, caps))
 
-            first = perf.memoized_check(vmcs, key, compute)
-            old = vmcs.read(enc)
-            vmcs.write(enc, old ^ 0xFF0)
-            vmcs.write(enc, old)  # journalled, but back to the read value
-            again = perf.memoized_check(vmcs, key, compute)
-            assert len(runs) == 1  # revert did not invalidate
-            assert again == first
+        first = perf.memoized_check(vmcs, key, compute)
+        old = vmcs.read(enc)
+        vmcs.write(enc, old ^ 0xFF0)
+        vmcs.write(enc, old)  # journalled, but back to the read value
+        again = perf.memoized_check(vmcs, key, compute)
+        assert len(runs) == 1  # revert did not invalidate
+        assert again == first
 
     def test_memoized_fixpoint_records_only_at_fixpoint(self):
         caps = default_capabilities()
         validator = VmStateValidator(caps)
         vmcs = golden_vmcs(caps)
-        with perf.incremental_mode(True):
-            validator.round_to_valid(vmcs)  # reach + record the fixed point
-            baseline = vmcs.generation
-            validator.round_to_valid(vmcs)  # pure memo hit
-            assert vmcs.generation == baseline
-            # Breaking a constraint forces a re-run that corrects it
-            # (entry-to-SMM is always rounded away outside SMM)...
-            vmcs.write(F.VM_ENTRY_CONTROLS,
-                       vmcs.read(F.VM_ENTRY_CONTROLS) | (1 << 10))
-            report = validator.round_to_valid(vmcs)
-            assert report.total >= 1
-            # ...and the next pass is again a recorded fixed point.
-            assert validator.round_to_valid(vmcs).total == 0
-            settled = vmcs.generation
-            validator.round_to_valid(vmcs)
-            assert vmcs.generation == settled
+        validator.round_to_valid(vmcs)  # reach + record the fixed point
+        baseline = vmcs.generation
+        validator.round_to_valid(vmcs)  # pure memo hit
+        assert vmcs.generation == baseline
+        # Breaking a constraint forces a re-run that corrects it
+        # (entry-to-SMM is always rounded away outside SMM)...
+        vmcs.write(F.VM_ENTRY_CONTROLS,
+                   vmcs.read(F.VM_ENTRY_CONTROLS) | (1 << 10))
+        report = validator.round_to_valid(vmcs)
+        assert report.total >= 1
+        # ...and the next pass is again a recorded fixed point.
+        assert validator.round_to_valid(vmcs).total == 0
+        settled = vmcs.generation
+        validator.round_to_valid(vmcs)
+        assert vmcs.generation == settled
