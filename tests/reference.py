@@ -97,7 +97,7 @@ def full_recompute() -> Iterator[None]:
 
 
 class SettraceTracer(KcovTracer):
-    """The ``sys.settrace`` line tracer the compiled markers replaced.
+    """A ``sys.settrace`` line tracer, the reference for the kcov markers.
 
     It records the same covered lines as :class:`KcovTracer` over the
     instrumented universe (the markers follow settrace's rules), at
