@@ -59,6 +59,18 @@ class TestVmclearVmptrld:
         assert cpu.vmclear(VMCS).ok
         assert not cpu.memory[VMCS].launched
 
+    def test_vmclear_of_mapped_vmcs_builds_nothing(self, cpu, monkeypatch):
+        cpu.vmxon(VMXON)
+        image = golden_vmcs(cpu.caps)
+        image.mark_launched()
+        cpu.install_vmcs(VMCS, image)
+        built = []
+        monkeypatch.setattr(Vmcs, "__init__",
+                            lambda self, *a, **k: built.append(a))
+        assert cpu.vmclear(VMCS).ok
+        assert built == []
+        assert cpu.memory[VMCS] is image and not image.launched
+
     def test_vmclear_vmxon_pointer_rejected(self, cpu):
         cpu.vmxon(VMXON)
         result = cpu.vmclear(VMXON)
