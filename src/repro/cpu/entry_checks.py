@@ -936,9 +936,10 @@ class IncrementalChecker:
     """Entry checks that re-run only units whose input fields changed.
 
     Per-unit results are memoized on the :class:`Vmcs` itself (so they
-    travel with ``copy()`` snapshots — the oracle pre-warms the
-    persistent state and every per-attempt copy starts with a warm
-    cache), validated against the structure's change journal, and
+    travel with ``copy()`` snapshots, and a check of an undiverged
+    snapshot warms its origin — the oracle's persistent state, KVM's
+    vmcs01 — for the next snapshot), validated against the structure's
+    change journal, and
     re-run per ``FIELD_TO_CHECKS`` when a read field changed. Equivalent
     to :func:`check_all` by construction — units are pure and ordered —
     and pinned by tests/unit/test_incremental_equivalence.py.

@@ -198,10 +198,11 @@ def merge_state(state, src, *, build: Callable[[], object],
 def prewarm(fn: Callable[[], object]) -> None:
     """Run a memo pre-warm.
 
-    Every pre-warm (the hypervisors' post-merge ``check_all`` and the
-    validators' pre-entry checks) goes through here, so a reference
-    run can turn all of them off at one patch point without touching
-    the instrumented modules.
+    Only the instrumented hypervisor modules call this (their post-merge
+    ``check_all``), so a reference run can turn those pre-warms off at
+    one patch point without touching them. Elsewhere no pre-warm is
+    needed: a check on an undiverged ``copy()`` stores its memo entry
+    on the origin too (``Vmcs.memo_put``/``Vmcb.memo_put``).
     """
     fn()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator
 
 from repro.arch.bits import bytes_hamming
@@ -32,9 +33,12 @@ class Vmcb:
 
     Dirty tracking mirrors :class:`repro.vmx.vmcs.Vmcs`: value-changing
     writes bump a generation counter and journal the field name, memo
-    entries ride along on ``copy()``, and ``serialize()`` is cached
-    behind the generation counter.
+    entries ride along on ``copy()`` (and flow back from an undiverged
+    copy), and ``serialize()`` is cached behind the generation counter.
     """
+
+    #: Weak link from a ``copy()`` to its origin (see ``Vmcs._origin``).
+    _origin: tuple | None = None
 
     def __init__(self) -> None:
         self._values: dict[str, int] = {spec.name: 0 for spec in ALL_FIELDS}
@@ -96,8 +100,16 @@ class Vmcb:
 
     def memo_put(self, key, entry) -> None:
         """Store a memoized result (entries are shared by copies —
-        replace, never mutate)."""
+        replace, never mutate); an undiverged copy also stores it on its
+        origin (same rule as ``Vmcs.memo_put``)."""
         self._memo[key] = entry
+        link = self._origin
+        if link is not None:
+            origin = link[0]()
+            if origin is not None and self._gen == link[1] == origin._gen:
+                origin._memo[key] = entry
+            else:
+                self._origin = None
 
     def __getitem__(self, name: str) -> int:
         return self.read(name)
@@ -152,7 +164,8 @@ class Vmcb:
 
         The generation counter, change journal, memo entries, and the
         serialization cache are carried over, so a snapshot starts warm
-        and diverges from its parent through its own journal.
+        and diverges from its parent through its own journal; until
+        either side diverges, its new memo entries reach the parent too.
         """
         dup = Vmcb.__new__(Vmcb)
         dup._values = dict(self._values)
@@ -163,6 +176,7 @@ class Vmcb:
         dup._ser = self._ser
         dup._ser_gen = self._ser_gen
         dup._read_trace = None
+        dup._origin = (weakref.ref(self), self._gen)
         return dup
 
     def snapshot(self) -> "Vmcb":
@@ -220,6 +234,11 @@ class Vmcb:
     def hamming(self, other: "Vmcb") -> int:
         """Bitwise Hamming distance over the serialised layout."""
         return bytes_hamming(self.serialize(), other.serialize())
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_origin", None)
+        return state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vmcb):

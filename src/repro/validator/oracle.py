@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro import faults, perf, telemetry
+from repro import faults, telemetry
 from repro.cpu.entry_checks import CheckStage, IncrementalChecker, Violation
 from repro.cpu.physical_cpu import VmxCpu
 from repro.validator.golden import golden_vmcs
@@ -186,9 +186,6 @@ class HardwareOracle:
         cpu = VmxCpu(self.caps, checker=self._checker)
         cpu.vmxon(VMXON_PA)
         cpu.vmclear(VMCS_PA)
-        # Pre-warm the persistent state so the image copy below
-        # carries a fully validated memo into vmlaunch.
-        perf.prewarm(lambda: self._checker.check_all(state))
         image = state.copy()
         image.clear()
         cpu.install_vmcs(VMCS_PA, image)

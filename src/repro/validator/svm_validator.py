@@ -140,10 +140,6 @@ class SvmHardwareOracle:
             cpu = SvmCpu()
             cpu.set_svme(True)
             cpu.set_hsave(0x3000)
-            # Pre-warm the persistent VMCB so each attempt's image
-            # copy carries a validated memo into vmrun.
-            perf.prewarm(lambda: perf.memoized_check(
-                vmcb, "svm_vmcb_check", lambda: check_vmcb(vmcb)))
             image = vmcb.copy()
             cpu.install_vmcb(self.VMCB_PA, image)
             outcome = cpu.vmrun(self.VMCB_PA)

@@ -9,6 +9,7 @@ Figure 5) are well defined over an 8,000-bit state.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator
 
 from repro.arch.bits import bytes_hamming
@@ -54,8 +55,14 @@ class Vmcs:
     ask "what changed since generation g" instead of re-reading all
     ~700 fields. Memoized derived results live in ``_memo`` as
     immutable entries keyed by the consumer; ``copy()`` shares them, so
-    a snapshot inherits its parent's warm caches.
+    a snapshot inherits its parent's warm caches, and an undiverged
+    copy publishes its new entries back (see :meth:`memo_put`).
     """
+
+    #: ``(weakref to the origin, generation at copy time)`` for a
+    #: ``copy()`` that may still publish memo entries to its origin;
+    #: never pickled.
+    _origin: tuple | None = None
 
     def __init__(self, revision_id: int = 0x12) -> None:
         self.revision_id = revision_id
@@ -129,8 +136,20 @@ class Vmcs:
         Entries must be treated as immutable: ``copy()`` shares them
         between snapshots, so consumers replace entries rather than
         mutating them in place.
+
+        While neither this copy nor its origin has seen a value-changing
+        write since ``copy()``, the two hold identical values and
+        journals, so the entry is stored on the origin too. The first
+        write on either side ends the link.
         """
         self._memo[key] = entry
+        link = self._origin
+        if link is not None:
+            origin = link[0]()
+            if origin is not None and self._gen == link[1] == origin._gen:
+                origin._memo[key] = entry
+            else:
+                self._origin = None
 
     def __getitem__(self, encoding: int) -> int:
         return self.read(encoding)
@@ -174,7 +193,9 @@ class Vmcs:
         Fast path: bypasses ``__init__`` (no field-table rebuild) and
         carries over the generation counter, change journal, memo
         entries, and the serialization cache, so a snapshot starts warm
-        and diverges from its parent through its own journal.
+        and diverges from its parent through its own journal. Until
+        either side diverges, memo entries the snapshot records are
+        also stored on its parent.
         """
         dup = Vmcs.__new__(Vmcs)
         dup.revision_id = self.revision_id
@@ -187,6 +208,7 @@ class Vmcs:
         dup._ser = self._ser
         dup._ser_gen = self._ser_gen
         dup._read_trace = None
+        dup._origin = (weakref.ref(self), self._gen)
         return dup
 
     def snapshot(self) -> "Vmcs":
@@ -262,6 +284,11 @@ class Vmcs:
     def hamming(self, other: "Vmcs") -> int:
         """Bitwise Hamming distance over the serialised layout."""
         return bytes_hamming(self.serialize(), other.serialize())
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_origin", None)
+        return state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vmcs):
