@@ -323,8 +323,10 @@ class KcovTracer:
         self.instrumented: set[Line] = set()
         self.unswapped: tuple[str, ...] = ()
         for module in self.modules:
-            self.instrumented |= executable_lines(module)
+            # Instrument first: it caches the line universe it computes,
+            # so executable_lines does not parse the module again.
             self.unswapped += instrument_module(module)
+            self.instrumented |= executable_lines(module)
         #: Markers append (file, line) tuples here in execution order
         #: while the tracer is active.
         self._events: list[Line] = []

@@ -1,7 +1,14 @@
 """Tests for the marker-based line coverage (kcov analogue)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.coverage.kcov import KcovTracer, executable_lines
 
 # A tiny target module defined in-repo for tracing tests.
@@ -92,3 +99,46 @@ class TestTracing:
         tracer = KcovTracer([traced_target])
         bogus = {("elsewhere.py", 1)}
         assert tracer.coverage_fraction(bogus) == 0.0
+
+
+#: Builds a tracer over every hypervisor's nested modules in a fresh
+#: interpreter (empty per-process caches), counting parses per file, and
+#: prints the tracer's line universe next to one computed independently.
+FIRST_CONSTRUCTION = """
+import json
+from collections import Counter
+from repro.arch.cpuid import Vendor
+from repro.coverage import kcov
+from repro.hypervisors import KvmHypervisor, VboxHypervisor, XenHypervisor
+
+parses = Counter()
+parse = kcov._parse
+def counting_parse(filename):
+    parses[filename] += 1
+    return parse(filename)
+kcov._parse = counting_parse
+
+modules = {m for hv in (KvmHypervisor, XenHypervisor, VboxHypervisor)
+           for vendor in (Vendor.INTEL, Vendor.AMD)
+           for m in hv.nested_modules(vendor)}
+tracer = kcov.KcovTracer(sorted(modules, key=lambda m: m.__name__))
+counts = dict(parses)
+expected = {(m.__file__, n) for m in modules
+            for n in kcov._process_tree(parse(m.__file__), m.__file__)}
+print(json.dumps({"parses": counts, "files": sorted(m.__file__ for m in modules),
+                  "unswapped": list(tracer.unswapped),
+                  "universe_equal": tracer.instrumented == expected,
+                  "size": len(tracer.instrumented)}))
+"""
+
+
+def test_first_construction_parses_each_module_once():
+    src = Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", FIRST_CONSTRUCTION],
+                         check=True, capture_output=True, text=True,
+                         env=env).stdout
+    result = json.loads(out)
+    assert result["universe_equal"]
+    assert result["size"] > 0 and result["unswapped"] == []
+    assert result["parses"] == {f: 1 for f in result["files"]}
