@@ -939,8 +939,8 @@ class IncrementalChecker:
     travel with ``copy()`` snapshots, and a check of an undiverged
     snapshot warms its origin — the oracle's persistent state, KVM's
     vmcs01 — for the next snapshot), validated against the structure's
-    change journal, and
-    re-run per ``FIELD_TO_CHECKS`` when a read field changed. Equivalent
+    change journal, and re-run per ``FIELD_TO_CHECKS`` when a read field
+    changed. Equivalent
     to :func:`check_all` by construction — units are pure and ordered —
     and pinned by tests/unit/test_incremental_equivalence.py.
 

@@ -43,6 +43,17 @@ _VMCS_TEMPLATES: dict[VmxCapabilities, Vmcs] = {}
 _VMCB_TEMPLATES: dict[bool, Vmcb] = {}
 
 
+def _unlinked_copy(template):
+    """A copy of a shared template that never publishes memo entries
+    back to it. Templates live as long as the process and are shared by
+    every caller, while memo keys may name one hypervisor instance
+    (``id(self)``): an entry stored on a template would be inherited by
+    unrelated instances' copies, including one that reuses the id."""
+    dup = template.copy()
+    dup._origin = None
+    return dup
+
+
 def golden_vmcs(caps: VmxCapabilities | None = None) -> Vmcs:
     """Build a fully valid, launchable VMCS for a 64-bit guest."""
     caps = caps or default_capabilities()
@@ -50,7 +61,7 @@ def golden_vmcs(caps: VmxCapabilities | None = None) -> Vmcs:
     if template is None:
         template = _build_golden_vmcs(caps)
         _VMCS_TEMPLATES[caps] = template
-    return template.copy()
+    return _unlinked_copy(template)
 
 
 def _build_golden_vmcs(caps: VmxCapabilities) -> Vmcs:
@@ -142,7 +153,7 @@ def golden_vmcb(*, nested_paging: bool = True) -> Vmcb:
     if template is None:
         template = _build_golden_vmcb(nested_paging)
         _VMCB_TEMPLATES[nested_paging] = template
-    return template.copy()
+    return _unlinked_copy(template)
 
 
 def _build_golden_vmcb(nested_paging: bool) -> Vmcb:

@@ -19,7 +19,7 @@ from repro.cpu import entry_checks
 from repro.hypervisors import GuestInstruction, KvmHypervisor, VcpuConfig
 from repro.svm import fields as SF
 from repro.svm.vmcb import Vmcb
-from repro.validator.golden import golden_vmcs
+from repro.validator.golden import golden_vmcb, golden_vmcs
 from repro.vmx import fields as F
 from repro.vmx.vmcs import Vmcs
 
@@ -91,6 +91,17 @@ class TestWriteThrough:
         dup.memo_put("k", "entry")
         assert dup.memo_get("k") == "entry"
         assert dup._origin is None
+
+
+@pytest.mark.parametrize("golden", [golden_vmcs, golden_vmcb],
+                         ids=["vmcs", "vmcb"])
+def test_golden_copies_never_publish_to_the_shared_template(golden):
+    """Templates outlive every hypervisor, and memo keys may carry an
+    instance id: nothing a golden copy records may reach later copies."""
+    dup = golden()
+    dup.memo_put(("kvm_vmx", id(dup), "controls"), "entry")
+    assert golden().memo_get(("kvm_vmx", id(dup), "controls")) is None
+    assert dup.copy()._origin is not None
 
 
 VMXON, VMCS12 = 0x1000, 0x3000
